@@ -16,15 +16,8 @@ against the committed ``BENCH_reduction.json``:
   naive wall over the committed naive wall.  A runner that is uniformly
   2× slower doubles both sides, so only a real slowdown of the incremental
   engine relative to the committed artifact trips the gate;
-* **batched parity** — the ``batch`` strategy must reach the same final
-  solution (content hash) with the same reaction multiset (``rule_fires``)
-  as the serial engine, and its ``match_attempts`` must not exceed the
-  serial-incremental count on any gated scenario (batching may only shrink
-  the match work, never add to it).  When the committed artifact carries
-  per-mode rows (schema 3+), the batch wall is gated against its committed
-  value under the same calibration and tolerance;
-* **rewrite-seconds drift** — when the committed batch row carries a timing
-  split (schema 3+), the time the batch run spends rewriting
+* **rewrite-seconds drift** — when the committed ``modes.serial`` row
+  carries a timing split (schema 3+), the time the run spends rewriting
   (``rewrite`` + ``patch`` seconds — rebuild expansion plus in-place delta
   application) must not exceed the committed split under the same
   calibration, tolerance and slack.  This catches the failure the wall gate
@@ -63,7 +56,6 @@ from test_bench_reduction import (  # noqa: E402
     _ARTIFACT,
     naive_calibration,
     reduce_scenario,
-    reduce_scenario_mode,
 )
 
 #: Scenarios gated by default: the montage chain plus one wide-fan-in and one
@@ -82,14 +74,15 @@ def check_scenario(scenario: str, baseline: dict, runs: int, tolerance: float, s
 
     best_wall = None
     best_naive_wall = None
+    best_rewrite = None
     attempts = None
-    serial_report = None
-    serial_solution = None
     for _ in range(max(1, runs)):
-        serial_report, wall, serial_solution = reduce_scenario_mode(scenario, "serial")
-        attempts = serial_report.match_attempts
+        report, wall, _solution = reduce_scenario(scenario)
+        attempts = report.match_attempts
         best_wall = wall if best_wall is None else min(best_wall, wall)
-        _naive_report, naive_wall = reduce_scenario(scenario, incremental=False)
+        rewrite = report.timings.get("rewrite", 0.0) + report.timings.get("patch", 0.0)
+        best_rewrite = rewrite if best_rewrite is None else min(best_rewrite, rewrite)
+        _naive_report, naive_wall, _naive_solution = reduce_scenario(scenario, incremental=False)
         best_naive_wall = (
             naive_wall if best_naive_wall is None else min(best_naive_wall, naive_wall)
         )
@@ -120,52 +113,26 @@ def check_scenario(scenario: str, baseline: dict, runs: int, tolerance: float, s
             f"budget {budget:.3f}s), match_attempts {attempts} (unchanged)"
         )
 
-    # -------------------------------------------------- batched-strategy gate
-    batch_report, batch_wall, batch_solution = reduce_scenario_mode(scenario, "batch")
-    if batch_solution.content_hash() != serial_solution.content_hash():
-        print(f"FAIL {scenario}: batch strategy reached a different final solution than serial")
-        passed = False
-    if batch_report.rule_fires != serial_report.rule_fires:
-        print(f"FAIL {scenario}: batch strategy's reaction multiset diverged from serial")
-        passed = False
-    if batch_report.match_attempts > attempts:
-        print(
-            f"FAIL {scenario}: batched match_attempts {batch_report.match_attempts} exceed "
-            f"serial-incremental {attempts} (batching must only shrink match work)"
-        )
-        passed = False
-    batch_baseline = baseline.get("modes", {}).get("batch")
-    if batch_baseline is not None:
-        batch_budget = batch_baseline["wall_seconds"] * calibration * (1.0 + tolerance) + max(0.0, slack)
-        if batch_wall > batch_budget:
+    committed_timings = baseline.get("modes", {}).get("serial", {}).get("timings")
+    if committed_timings is not None:
+        # rewrite-seconds drift gate: rebuild expansion + delta patching
+        # must stay within the committed split — a rule losing its delta
+        # form shows up here long before it moves the total wall.
+        committed_rewrite = committed_timings.get("rewrite", 0.0) + committed_timings.get("patch", 0.0)
+        rewrite_budget = committed_rewrite * calibration * (1.0 + tolerance) + max(0.0, slack)
+        if best_rewrite > rewrite_budget:
             print(
-                f"FAIL {scenario}: batch wall {batch_wall:.3f}s exceeds the committed "
-                f"{batch_baseline['wall_seconds']}s by more than {tolerance:.0%} after "
-                f"calibration x{calibration:.2f} + {slack}s slack (budget {batch_budget:.3f}s)"
+                f"FAIL {scenario}: rewrite+patch seconds {best_rewrite:.3f}s "
+                f"exceed the committed {committed_rewrite:.3f}s by more than "
+                f"{tolerance:.0%} after calibration x{calibration:.2f} + {slack}s "
+                f"slack (budget {rewrite_budget:.3f}s) — did a rule lose its delta form?"
             )
             passed = False
-        committed_timings = batch_baseline.get("timings")
-        if committed_timings is not None:
-            # rewrite-seconds drift gate: rebuild expansion + delta patching
-            # must stay within the committed split — a rule losing its delta
-            # form shows up here long before it moves the total wall.
-            committed_rewrite = committed_timings.get("rewrite", 0.0) + committed_timings.get("patch", 0.0)
-            measured_rewrite = batch_report.timings.get("rewrite", 0.0) + batch_report.timings.get("patch", 0.0)
-            rewrite_budget = committed_rewrite * calibration * (1.0 + tolerance) + max(0.0, slack)
-            if measured_rewrite > rewrite_budget:
-                print(
-                    f"FAIL {scenario}: batch rewrite+patch seconds {measured_rewrite:.3f}s "
-                    f"exceed the committed {committed_rewrite:.3f}s by more than "
-                    f"{tolerance:.0%} after calibration x{calibration:.2f} + {slack}s "
-                    f"slack (budget {rewrite_budget:.3f}s) — did a rule lose its delta form?"
-                )
-                passed = False
-    if passed:
-        print(
-            f"OK {scenario}: batch parity holds — wall {batch_wall:.3f}s, "
-            f"match_attempts {batch_report.match_attempts} <= serial {attempts}, "
-            f"batches {batch_report.batches}"
-        )
+        else:
+            print(
+                f"OK {scenario}: rewrite+patch {best_rewrite:.3f}s "
+                f"(committed {committed_rewrite:.3f}s, budget {rewrite_budget:.3f}s)"
+            )
     return passed
 
 

@@ -9,12 +9,13 @@ silently across PRs.  This script folds any number of downloaded artifacts
 into one per-scenario trend table so that drift becomes visible:
 
 * one row per (commit, scenario, mode): reactions, match_attempts, wall
-  seconds per reduction strategy (``serial``/``batch``/``parallel`` —
+  seconds per measured mode (schema 5: ``serial`` and the ``delta=False``
+  ``rebuild`` reference; schema-3/4 artifacts also carry the since-removed
+  ``batch``/``parallel`` strategies, which are collated as they stand;
   schema-2 artifacts contribute a single ``serial`` row), the
-  match/rewrite/patch/index split of the wall (schema-4 rows; older
-  artifacts show ``-`` for the keys they lack, e.g. ``patch`` before the
-  delta path existed), plus the naive wall and wall-clock speedup on the
-  serial row;
+  match/rewrite/patch/index split of the wall (schema 4+; older artifacts
+  show ``-`` for the keys they lack, e.g. ``patch`` before the delta path
+  existed), plus the naive wall and wall-clock speedup on the serial row;
 * a ``drift`` column: the wall relative to the *first* (oldest) collated
   commit of that (scenario, mode) — the number the 20%-per-PR gate cannot
   see;
@@ -112,7 +113,7 @@ def load_rows(path: Path) -> Iterator[dict[str, Any]]:
     for scenario, row in sorted(payload.get("scenarios", {}).items()):
         naive = row.get("naive", {})
         speedup = row.get("speedup", {})
-        # Schema 3 carries one sub-row per reduction strategy; schema 2
+        # Schema 3+ carries one sub-row per measured mode; schema 2
         # artifacts only measured the serial incremental engine.
         modes = row.get("modes") or {"serial": row.get("incremental", {})}
         for mode, measured in sorted(modes.items()):
@@ -299,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
         "--mode",
         action="append",
         default=None,
-        help="only collate this reduction strategy (repeatable; default: all)",
+        help="only collate this mode, e.g. serial or rebuild (repeatable; default: all)",
     )
     parser.add_argument(
         "--order",

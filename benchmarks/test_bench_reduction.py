@@ -9,30 +9,23 @@ Four claims are checked and published as ``BENCH_reduction.json``:
 * **Attempt speedup** — the incremental engine performs at least 5× fewer
   match attempts than the naive re-reduce-everything engine (deterministic,
   machine-independent);
-* **Strategy parity** — the ``batch`` and ``parallel`` reduction strategies
-  reach the *same final solution* (content hash) with the *same reaction
-  multiset* (``rule_fires``) as the serial engine, and the batched engine's
-  ``match_attempts`` may only shrink relative to serial;
 * **Wall-clock** — the montage-500 centralised reduction completes in
   ≤ 5 s (the PR-4 target; PR 2 measured 15.18 s), and — full profile —
-  montage-1000 runs ≥ 1.4× faster in batch or parallel mode than the
-  committed serial-incremental wall, the batched wall stays ≤ 7.2 s
-  (calibrated; the PR-9 delta-rewrite target over the committed 9.0 s
-  rebuild wall) and full-rebuild rewrite time no longer dominates: the
-  ``rewrite`` share of the batched timing split stays < 30 %;
+  montage-1000 stays ≤ 7.2 s (calibrated; the delta-rewrite target over the
+  9.0 s rebuild-path wall) with full-rebuild rewrite time no longer
+  dominating: the ``rewrite`` share of the timing split stays < 30 %;
 * **Delta parity** — the in-place delta path (the default) reaches the same
-  final solution, reaction multiset and match-attempt count as the
+  final solution, reaction trace and match-attempt count as the
   full-rebuild reference path (``delta=False``) on every scenario.
 
-Every scenario row carries a ``modes`` object (schema_version 4): per
-strategy (``serial``/``batch``/``parallel``), the match attempts, the wall
-seconds, the match/rewrite/patch/index timing split (``patch`` is the time
-spent applying in-place rewrite deltas, ``rewrite`` what remains on the
-full-rebuild path), the count of delta-``patched`` reactions and — for the
-batched strategies — the number of reaction batches applied.  A ``rebuild``
-object records the reference ``delta=False`` batch run the parity check
-compared against.  The legacy ``incremental`` object aliases ``modes.serial``
-so older tooling keeps working.
+Every scenario row carries a ``modes`` object (schema_version 5) with two
+rows: ``serial`` (the engine as shipped, deltas on) and ``rebuild`` (the
+``delta=False`` reference run the parity check compared against).  Each
+holds the match attempts, the wall seconds, the match/rewrite/patch/index
+timing split (``patch`` is the time spent applying in-place rewrite deltas,
+``rewrite`` what remains on the full-rebuild path) and the count of
+delta-``patched`` reactions.  The legacy ``incremental`` object aliases
+``modes.serial`` so older tooling keeps working.
 
 Scenario matrix (the paper's two workflow shapes at several scales, plus two
 families from the scenario catalog, :mod:`repro.scenarios`):
@@ -60,14 +53,12 @@ more than 20% against the committed copy.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import time
 from pathlib import Path
 
 from repro.hocl import ReductionEngine, default_registry
-from repro.hocl.parallel import reduce_sharded, resolve_policy
 from repro.hoclflow import encode_workflow
 from repro.hoclflow.generic_rules import register_workflow_externals
 from repro.scenarios import build_scenario
@@ -95,46 +86,27 @@ _FULL_ONLY = {"montage-1000-centralized"}
 #: hardware can widen it via GINFLOW_WALL_BUDGET without touching the code.
 _MONTAGE_500_BUDGET = float(os.environ.get("GINFLOW_WALL_BUDGET", "5.0"))
 
-#: Wall-clock ceiling of the PR-9 delta-rewrite criterion: montage-1000
-#: batched reduction, >= 1.25x over the committed 9.0 s rebuild-path wall.
-_MONTAGE_1000_BATCH_BUDGET = 7.2
+#: Wall-clock ceiling of the delta-rewrite criterion: montage-1000 serial
+#: reduction, >= 1.25x over the committed 9.0 s rebuild-path wall.
+_MONTAGE_1000_BUDGET = 7.2
 
 
 def _full_profile() -> bool:
     return bool(os.environ.get("GINFLOW_FULL"))
 
 
-#: Reduction strategies measured per scenario (schema v4 ``modes`` rows).
-_MODES = ("serial", "batch", "parallel")
+def reduce_scenario(scenario: str, incremental: bool = True, delta: bool = True):
+    """Centralised reduction of one scenario; returns (report, wall_seconds, solution)."""
+    return reduce_workflow(_SCENARIOS[scenario](), incremental, delta)
 
 
-def reduce_scenario(scenario: str, incremental: bool):
-    """Centralised reduction of one scenario; returns (report, wall_seconds)."""
-    return reduce_workflow(_SCENARIOS[scenario](), incremental)
+def reduce_workflow(workflow, incremental: bool = True, delta: bool = True):
+    """Centralised reduction of ``workflow``; returns (report, wall_seconds, solution).
 
-
-def reduce_scenario_mode(scenario: str, mode: str, delta: bool = True):
-    """One scenario under one strategy; returns (report, wall_seconds, solution)."""
-    return reduce_workflow_mode(_SCENARIOS[scenario](), mode, delta=delta)
-
-
-def reduce_workflow(workflow, incremental: bool):
-    """Centralised serial reduction of ``workflow``; returns (report, wall_seconds)."""
-    report, elapsed, _solution = reduce_workflow_mode(workflow, "serial", incremental=incremental)
-    return report, elapsed
-
-
-def reduce_workflow_mode(
-    workflow, mode: str = "serial", incremental: bool = True, delta: bool = True
-):
-    """Centralised reduction of ``workflow`` under one reduction strategy.
-
-    Returns ``(report, wall_seconds, solution)`` — the final solution is what
-    the strategy-parity checks hash.  ``mode`` is a registered strategy name
-    (``serial``/``batch``/``parallel``); ``incremental=False`` selects the
-    naive re-reduce-everything engine (serial only, the calibration baseline);
-    ``delta=False`` forces the full-rebuild reference path (the delta-parity
-    baseline).
+    The final solution is what the delta-parity check hashes.
+    ``incremental=False`` selects the naive re-reduce-everything engine (the
+    calibration baseline); ``delta=False`` forces the full-rebuild reference
+    path (the delta-parity baseline).
     """
     encoding = encode_workflow(workflow)
     solution = encoding.to_multiset()
@@ -155,27 +127,11 @@ def reduce_workflow_mode(
 
     externals = default_registry()
     register_workflow_externals(externals, invoke)
-    policy = resolve_policy(mode)
-    if not delta:
-        policy = dataclasses.replace(policy, delta=False)
-
-    def engine_factory() -> ReductionEngine:
-        return ReductionEngine(
-            externals=externals,
-            max_steps=5_000_000,
-            incremental=incremental,
-            **policy.engine_options(),
-        )
-
+    engine = ReductionEngine(
+        externals=externals, max_steps=5_000_000, incremental=incremental, delta=delta
+    )
     start = time.perf_counter()
-    if policy.parallel:
-        reducer = policy.make_reducer()
-        try:
-            report = reduce_sharded(solution, engine_factory, reducer, max_steps=5_000_000)
-        finally:
-            reducer.shutdown()
-    else:
-        report = engine_factory().reduce(solution)
+    report = engine.reduce(solution)
     elapsed = time.perf_counter() - start
     assert report.inert
     return report, elapsed, solution
@@ -185,72 +141,50 @@ def _trace(report):
     return [(r.rule, r.depth, r.consumed, r.produced) for r in report.history]
 
 
+def _mode_row(report, seconds: float) -> dict:
+    return {
+        "match_attempts": report.match_attempts,
+        "wall_seconds": round(seconds, 3),
+        "timings": {k: round(v, 3) for k, v in report.timings.items()},
+        "patched": report.patched,
+    }
+
+
 def _measure(scenario: str) -> dict:
-    """Run one scenario under every strategy; check parity, package the row."""
-    serial, seconds_serial, serial_solution = reduce_scenario_mode(scenario, "serial")
-    naive, seconds_naive = reduce_scenario(scenario, incremental=False)
+    """Run one scenario serial, naive and rebuild; check parity, package the row."""
+    serial, seconds_serial, serial_solution = reduce_scenario(scenario)
+    naive, seconds_naive, _naive_solution = reduce_scenario(scenario, incremental=False)
     assert _trace(serial) == _trace(naive), f"{scenario}: trace diverged"
     attempts_speedup = naive.match_attempts / max(1, serial.match_attempts)
     assert attempts_speedup >= 5.0, (
         f"{scenario}: expected >=5x fewer match attempts, got {attempts_speedup:.1f}x "
         f"({naive.match_attempts} -> {serial.match_attempts})"
     )
-    serial_hash = serial_solution.content_hash()
-    modes = {
-        "serial": {
-            "match_attempts": serial.match_attempts,
-            "wall_seconds": round(seconds_serial, 3),
-            "timings": {k: round(v, 3) for k, v in serial.timings.items()},
-            "patched": serial.patched,
-        }
-    }
-    batch_report = None
-    for mode in _MODES[1:]:
-        report, seconds, solution = reduce_scenario_mode(scenario, mode)
-        assert solution.content_hash() == serial_hash, (
-            f"{scenario}: {mode} reached a different final solution than serial"
-        )
-        assert report.rule_fires == serial.rule_fires, (
-            f"{scenario}: {mode} reaction multiset diverged from serial"
-        )
-        assert report.reactions == serial.reactions
-        if mode == "batch":
-            batch_report = report
-            assert report.match_attempts <= serial.match_attempts, (
-                f"{scenario}: batched match_attempts {report.match_attempts} exceed "
-                f"serial-incremental {serial.match_attempts}"
-            )
-        modes[mode] = {
-            "match_attempts": report.match_attempts,
-            "wall_seconds": round(seconds, 3),
-            "timings": {k: round(v, 3) for k, v in report.timings.items()},
-            "batches": report.batches,
-            "patched": report.patched,
-        }
 
     # Delta parity: the full-rebuild reference path (delta=False) must reach
     # the same final solution with the same reaction trace.  Kept anchors are
     # repositioned where rebuild appends its products, so this is exact trace
     # identity — not just confluence-up-to-order.
-    rebuild, seconds_rebuild, rebuild_solution = reduce_scenario_mode(
-        scenario, "batch", delta=False
-    )
-    assert rebuild_solution.content_hash() == serial_hash, (
+    rebuild, seconds_rebuild, rebuild_solution = reduce_scenario(scenario, delta=False)
+    assert rebuild_solution.content_hash() == serial_solution.content_hash(), (
         f"{scenario}: rebuild (delta=False) reached a different final solution"
     )
-    assert batch_report is not None
-    assert rebuild.rule_fires == batch_report.rule_fires, (
+    assert rebuild.rule_fires == serial.rule_fires, (
         f"{scenario}: rebuild (delta=False) reaction multiset diverged"
     )
-    assert _trace(rebuild) == _trace(batch_report), (
+    assert _trace(rebuild) == _trace(serial), (
         f"{scenario}: rebuild (delta=False) trace diverged from the delta path"
     )
-    assert rebuild.match_attempts == batch_report.match_attempts, (
+    assert rebuild.match_attempts == serial.match_attempts, (
         f"{scenario}: rebuild match_attempts {rebuild.match_attempts} != "
-        f"delta {batch_report.match_attempts}"
+        f"delta {serial.match_attempts}"
     )
     assert rebuild.patched == 0, f"{scenario}: delta=False engine patched reactions"
 
+    modes = {
+        "serial": _mode_row(serial, seconds_serial),
+        "rebuild": _mode_row(rebuild, seconds_rebuild),
+    }
     return {
         "reactions": serial.reactions,
         # legacy alias of modes.serial (schema v2 consumers: the CI gate's
@@ -265,22 +199,13 @@ def _measure(scenario: str) -> dict:
             "wall_clock": round(seconds_naive / max(1e-9, seconds_serial), 2),
         },
         "modes": modes,
-        # the delta=False batch reference the parity check ran against
-        "rebuild": {
-            "mode": "batch",
-            "match_attempts": rebuild.match_attempts,
-            "wall_seconds": round(seconds_rebuild, 3),
-            "timings": {k: round(v, 3) for k, v in rebuild.timings.items()},
-        },
     }
 
 
 def test_reduction_micro_benchmark(benchmark):
     """Micro-benchmark: one 128-task reduction with the incremental engine."""
     report = benchmark.pedantic(
-        lambda: reduce_workflow(
-            montage_workflow(projections=118, duration_scale=0.01), incremental=True
-        )[0],
+        lambda: reduce_workflow(montage_workflow(projections=118, duration_scale=0.01))[0],
         rounds=1,
         iterations=1,
     )
@@ -290,8 +215,8 @@ def test_reduction_micro_benchmark(benchmark):
 def test_trace_equivalence_small():
     """Incremental and naive engines agree reaction-for-reaction."""
     scenario = "montage-100-centralized"
-    incremental, _ = reduce_scenario(scenario, incremental=True)
-    naive, _ = reduce_scenario(scenario, incremental=False)
+    incremental, _, _ = reduce_scenario(scenario)
+    naive, _, _ = reduce_scenario(scenario, incremental=False)
     assert _trace(incremental) == _trace(naive)
     assert incremental.reactions == naive.reactions
     assert incremental.match_attempts < naive.match_attempts
@@ -353,50 +278,37 @@ def test_benchmark_matrix_and_artifact():
         f"(budget {_MONTAGE_500_BUDGET} s x calibration {calibration:.2f})"
     )
 
-    # Full profile: the parallel-reduction acceptance gate.  The best of the
-    # batch/parallel strategies on montage-1000 must beat the *committed*
-    # serial-incremental wall by >= 1.4x, calibrated to this machine the same
-    # way (via the scenario's own naive run).
+    # Full profile: the delta-rewrite acceptance gate.  montage-1000 serial
+    # must stay within its 7.2 s budget, calibrated to this machine the same
+    # way (via the scenario's own naive run), and full-rebuild rewrite time
+    # must not dominate its timing split.
     if "montage-1000-centralized" in scenarios:
         row = scenarios["montage-1000-centralized"]
-        committed_row = committed.get("montage-1000-centralized", {})
-        committed_serial = committed_row.get("incremental", {}).get("wall_seconds")
-        committed_naive_1000 = committed_row.get("naive", {}).get("wall_seconds")
-        if committed_serial and committed_naive_1000:
+        committed_naive_1000 = (
+            committed.get("montage-1000-centralized", {}).get("naive", {}).get("wall_seconds")
+        )
+        calibration_1000 = 1.0
+        if committed_naive_1000:
             calibration_1000 = naive_calibration(
                 row["naive"]["wall_seconds"], committed_naive_1000, floor=1.0
             )
-            best_mode, best = min(
-                ((mode, row["modes"][mode]) for mode in ("batch", "parallel")),
-                key=lambda pair: pair[1]["wall_seconds"],
-            )
-            ceiling = committed_serial * calibration_1000 / 1.4
-            assert best["wall_seconds"] <= ceiling, (
-                f"montage-1000 {best_mode} wall {best['wall_seconds']} s misses the "
-                f"1.4x speedup over the committed serial {committed_serial} s "
-                f"(calibration x{calibration_1000:.2f}, ceiling {ceiling:.3f} s)"
-            )
-            # PR-9 delta-rewrite acceptance: batched wall <= 7.2 s (calibrated)
-            # and full-rebuild rewrite time no longer dominates the split.
-            batch = row["modes"]["batch"]
-            delta_ceiling = _MONTAGE_1000_BATCH_BUDGET * calibration_1000
-            assert batch["wall_seconds"] <= delta_ceiling, (
-                f"montage-1000 batch wall {batch['wall_seconds']} s misses the "
-                f"delta-rewrite budget {_MONTAGE_1000_BATCH_BUDGET} s "
-                f"(calibration x{calibration_1000:.2f})"
-            )
-            timed = sum(batch["timings"].values())
-            rewrite_share = batch["timings"].get("rewrite", 0.0) / max(1e-9, timed)
-            assert rewrite_share < 0.30, (
-                f"montage-1000 batch rewrite share {rewrite_share:.0%} >= 30% — "
-                f"full-rebuild expansion still dominates ({batch['timings']})"
-            )
-            print(
-                f"\nmontage-1000 acceptance: {best_mode} {best['wall_seconds']} s vs "
-                f"committed serial {committed_serial} s "
-                f"({committed_serial * calibration_1000 / best['wall_seconds']:.2f}x); "
-                f"batch rewrite share {rewrite_share:.0%}"
-            )
+        serial = row["modes"]["serial"]
+        ceiling = _MONTAGE_1000_BUDGET * calibration_1000
+        assert serial["wall_seconds"] <= ceiling, (
+            f"montage-1000 serial wall {serial['wall_seconds']} s misses the "
+            f"delta-rewrite budget {_MONTAGE_1000_BUDGET} s "
+            f"(calibration x{calibration_1000:.2f})"
+        )
+        timed = sum(serial["timings"].values())
+        rewrite_share = serial["timings"].get("rewrite", 0.0) / max(1e-9, timed)
+        assert rewrite_share < 0.30, (
+            f"montage-1000 serial rewrite share {rewrite_share:.0%} >= 30% — "
+            f"full-rebuild expansion still dominates ({serial['timings']})"
+        )
+        print(
+            f"\nmontage-1000 acceptance: serial {serial['wall_seconds']} s "
+            f"(budget {ceiling:.3f} s); rewrite share {rewrite_share:.0%}"
+        )
 
     # keep the committed rows for the scenarios this profile deliberately
     # skipped (and only those: renamed/removed scenarios must not linger)
@@ -406,7 +318,7 @@ def test_benchmark_matrix_and_artifact():
 
     payload = {
         "benchmark": "hocl-reduction",
-        "schema_version": 4,
+        "schema_version": 5,
         "scenarios": scenarios,
     }
     _ARTIFACT.write_text(json.dumps(payload, indent=2) + "\n")

@@ -20,15 +20,11 @@ stand-in for the real decentralised execution.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.hocl import Multiset, ReductionEngine, Symbol, default_registry, to_atom
-from repro.hocl.parallel import resolve_policy
 from repro.obs.logs import get_logger
 from repro.obs.tracer import Tracer, active as active_tracer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.hocl.parallel import ParallelReducer, ReductionPolicy
 from repro.hoclflow import keywords as kw
 from repro.hoclflow.fields import (
     build_parameters,
@@ -68,15 +64,6 @@ class AgentCore:
         The task's HOCLflow encoding (fields + generic rules).
     max_reduction_steps:
         Safety bound on reactions per stimulus.
-    reduction:
-        Reduction strategy (a name or a resolved
-        :class:`~repro.hocl.parallel.ReductionPolicy`); ``None`` means
-        serial.  ``batch`` engines fire whole batches of disjoint matches
-        per pass — same final solution, fewer match sweeps.
-    reducer:
-        Optional shared :class:`~repro.hocl.parallel.ParallelReducer`: when
-        given, each reduction runs on its pool (the caller blocks, so
-        per-agent stimuli stay serialized) instead of the calling thread.
     trace:
         Optional :class:`~repro.obs.tracer.Tracer`: when active, every
         stimulus this core handles is recorded as an ``agent.<stimulus>``
@@ -90,8 +77,6 @@ class AgentCore:
         self,
         encoding: TaskEncoding,
         max_reduction_steps: int = 10_000,
-        reduction: "ReductionPolicy | str | None" = None,
-        reducer: "ParallelReducer | None" = None,
         trace: "Tracer | None" = None,
     ) -> None:
         self.encoding = encoding
@@ -112,15 +97,12 @@ class AgentCore:
         # Incremental: between stimuli the local solution stays stamped
         # inert, so re-entering reduction after a stimulus only re-examines
         # the parts of the solution the stimulus actually dirtied.
-        self.policy = resolve_policy(reduction)
-        self.reducer = reducer
         self.engine = ReductionEngine(
             externals=externals,
             max_steps=max_reduction_steps,
             incremental=True,
             trace=self.trace,
             trace_track=self.name,
-            **self.policy.engine_options(),
         )
         self.state = AgentState.IDLE
         self.invocation_requested = False
@@ -250,10 +232,7 @@ class AgentCore:
     def _reduce_and_collect(self, stimulus: str = "stimulus") -> list[Action]:
         trace = self.trace
         started = perf_counter() if trace is not None else 0.0
-        if self.reducer is not None:
-            report = self.reducer.run(self.engine.reduce, self.solution)
-        else:
-            report = self.engine.reduce(self.solution)
+        report = self.engine.reduce(self.solution)
         self.match_attempts += report.match_attempts
         self.reactions += report.reactions
         self.reduction_units += report.reduction_units(len(self.solution))

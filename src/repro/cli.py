@@ -25,8 +25,8 @@ or, without installing the console script::
 
     python -m repro.cli run workflow.json
 
-Backend choices (``--mode`` / ``--executor`` / ``--broker`` / ``--cluster``
-/ ``--reduction``) are drawn dynamically from the backend registry
+Backend choices (``--mode`` / ``--executor`` / ``--broker`` / ``--cluster``)
+are drawn dynamically from the backend registry
 (:mod:`repro.runtime.backends`), so third-party backends registered before
 :func:`main` runs are accepted everywhere without touching this module.
 """
@@ -49,7 +49,6 @@ from repro.runtime.backends import (
     available_brokers,
     available_clusters,
     available_executors,
-    available_reductions,
     available_runtimes,
     ensure_builtin_backends,
     registry,
@@ -90,9 +89,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--broker", default="activemq", choices=available_brokers())
     parser.add_argument("--cluster", default="grid5000", choices=available_clusters(),
                         help="cluster preset (simulated mode)")
-    parser.add_argument("--reduction", default="serial", choices=available_reductions(),
-                        help="HOCL reduction strategy: serial (reference), batch "
-                        "(disjoint matches per pass), parallel (batch + concurrent shards)")
     parser.add_argument("--nodes", type=int, default=25, help="number of cluster nodes (simulated mode)")
     parser.add_argument("--seed", type=int, default=1, help="root random seed")
 
@@ -208,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="audit every registered scenario at a small size (size=20)",
     )
     audit_parser.add_argument("--mode", default="simulated", choices=available_runtimes())
-    audit_parser.add_argument("--reduction", default="serial", choices=available_reductions(),
-                              help="HOCL reduction strategy audited runs use")
     audit_parser.add_argument("--nodes", type=int, default=5, help="number of cluster nodes")
     audit_parser.add_argument("--seed", type=int, default=1, help="root random seed")
     audit_parser.add_argument(
@@ -265,7 +259,6 @@ def _base_config(
         mode=args.mode,
         executor=args.executor,
         broker=args.broker,
-        reduction=args.reduction,
         cluster_preset=args.cluster,
         nodes=args.nodes,
         seed=args.seed,
@@ -282,6 +275,9 @@ def _build_observability(args: argparse.Namespace) -> Observability | None:
         # the Chrome export needs the whole record set: record in memory,
         # write the file once the run finished
         return Observability(tracer=RecordingTracer(), metrics=MetricsRegistry())
+    # JsonlTracer appends (process-pool sweep workers share the file), so
+    # start each top-level run from an empty file: runs must never merge
+    open(args.trace, "w", encoding="utf-8").close()
     return Observability(tracer=JsonlTracer(args.trace), metrics=MetricsRegistry())
 
 
@@ -532,7 +528,6 @@ def _command_audit(args: argparse.Namespace) -> int:
             nodes=args.nodes,
             seed=args.seed,
             repeats=args.repeats,
-            reduction=args.reduction,
         )
     elif args.scenario:
         report = audit_scenario(
@@ -541,7 +536,6 @@ def _command_audit(args: argparse.Namespace) -> int:
             nodes=args.nodes,
             seed=args.seed,
             repeats=args.repeats,
-            reduction=args.reduction,
         )
     else:
         report = audit_workflow(
@@ -550,7 +544,6 @@ def _command_audit(args: argparse.Namespace) -> int:
             nodes=args.nodes,
             seed=args.seed,
             repeats=args.repeats,
-            reduction=args.reduction,
         )
     fail_on = Severity.parse(args.fail_on)
     if args.json_out:

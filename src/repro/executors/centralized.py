@@ -13,7 +13,6 @@ engine must produce the same final results, which the integration tests check.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any
@@ -28,7 +27,6 @@ from repro.hocl import (
     default_registry,
     from_atom,
 )
-from repro.hocl.parallel import reduce_sharded, resolve_policy
 from repro.hoclflow import encode_workflow
 from repro.hoclflow import keywords as kw
 from repro.hoclflow.fields import get_res_atoms, has_error
@@ -64,14 +62,6 @@ class CentralizedExecutor:
         Service registry resolving task services.
     max_steps:
         Safety bound on total reactions.
-    reduction:
-        Reduction strategy (name or resolved
-        :class:`~repro.hocl.parallel.ReductionPolicy`).  ``batch`` swaps
-        the engine into batched passes; ``parallel`` additionally shards
-        the top-level task sub-solutions over a pool
-        (:func:`~repro.hocl.parallel.reduce_sharded`) — same final
-        solution, invocations may run concurrently, so services invoked
-        this way must be thread-safe.
     obs:
         Optional :class:`~repro.obs.Observability` bundle: reduction-phase
         spans land on the ``"centralized"`` track, every service call gets
@@ -85,12 +75,10 @@ class CentralizedExecutor:
         self,
         registry: ServiceRegistry | None = None,
         max_steps: int = 1_000_000,
-        reduction: Any = None,
         obs: Any = None,
     ):
         self.registry = registry or ServiceRegistry()
         self.max_steps = max_steps
-        self.policy = resolve_policy(reduction)
         self.obs = obs
         self.trace = obs.active_tracer() if obs is not None else None
         self.metrics = obs.metrics if obs is not None else None
@@ -105,15 +93,10 @@ class CentralizedExecutor:
         solution = encoding.to_multiset()
         invocation_counter = {"count": 0}
         attempts: dict[str, int] = {}
-        # Under a parallel policy, `invoke` is called from pool workers
-        # reducing different shards concurrently; the counters need a lock
-        # (the shards themselves are disjoint and need none).
-        counter_lock = threading.Lock()
 
         def invoke(task_name: str, service_name: str, parameters: list[Any]) -> Any:
-            with counter_lock:
-                invocation_counter["count"] += 1
-                attempt = attempts[task_name] = attempts.get(task_name, 0) + 1
+            invocation_counter["count"] += 1
+            attempt = attempts[task_name] = attempts.get(task_name, 0) + 1
             task_encoding = encoding.tasks[task_name]
             service = self.registry.resolve(service_name)
             context = InvocationContext(
@@ -144,25 +127,13 @@ class CentralizedExecutor:
         externals = default_registry()
         register_workflow_externals(externals, invoke)
 
-        def engine_factory() -> ReductionEngine:
-            return ReductionEngine(
-                externals=externals,
-                max_steps=self.max_steps,
-                trace=self.trace,
-                trace_track="centralized",
-                **self.policy.engine_options(),
-            )
-
-        if self.policy.parallel:
-            reducer = self.policy.make_reducer()
-            try:
-                report = reduce_sharded(
-                    solution, engine_factory, reducer, max_steps=self.max_steps
-                )
-            finally:
-                reducer.shutdown()
-        else:
-            report = engine_factory().reduce(solution)
+        engine = ReductionEngine(
+            externals=externals,
+            max_steps=self.max_steps,
+            trace=self.trace,
+            trace_track="centralized",
+        )
+        report = engine.reduce(solution)
 
         results: dict[str, Any] = {}
         errors: dict[str, str] = {}

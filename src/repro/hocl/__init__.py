@@ -33,7 +33,6 @@ from .atoms import (
 )
 from .deltas import AppliedDelta, DeltaOp, PatchAdd, PatchRemove, RewriteDelta
 from .engine import ReductionEngine, ReductionReport, is_inert, reduce_solution
-from .parallel import ParallelReducer, ReductionPolicy, reduce_sharded, resolve_policy
 from .errors import (
     AtomError,
     DeltaError,
@@ -127,10 +126,6 @@ __all__ = [
     "find_matches",
     "find_first_match",
     "count_matches",
-    "ParallelReducer",
-    "ReductionPolicy",
-    "reduce_sharded",
-    "resolve_policy",
     "ReductionEngine",
     "ReductionReport",
     "reduce_solution",

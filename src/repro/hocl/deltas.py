@@ -33,7 +33,7 @@ is removed and re-appended at the end of the level (an O(index keys)
 operation on the anchor alone — the payload below it is untouched), exactly
 where the rebuild path would insert its replacement product.  This makes the
 two paths leave the level in the same order, so enumeration — and therefore
-the reaction history, ``match_attempts`` and batch composition — is
+the reaction history and ``match_attempts`` — is
 *identical* between ``ReductionEngine(delta=True)`` and ``delta=False``,
 provided the rule's rebuild products list the kept fields first, in pattern
 order (all the workflow rules do).
@@ -190,10 +190,8 @@ class AppliedDelta:
         New top-level atoms inserted (the expanded ``produce`` templates).
     kept:
         Matched atoms still in the solution — patched or not — repositioned
-        at the end of the level.  The batched engine treats them exactly as
-        it would rebuilt replacement products: released from the pass's
-        claim set, excluded from the pass's remaining frontier leads, and
-        marked dirty for the next frontier.
+        at the end of the level, where the rebuild path would insert its
+        replacement products.
     """
 
     __slots__ = ("removed", "added", "kept")

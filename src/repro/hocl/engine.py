@@ -48,11 +48,10 @@ from typing import Callable
 
 from repro.obs.tracer import Tracer, active as active_tracer
 
-from .atoms import Atom
 from .errors import ReductionError
 from .externals import ExternalRegistry, default_registry
 from .matching import Match
-from .multiset import Multiset, atom_index_keys
+from .multiset import Multiset
 from .rules import Rule
 
 __all__ = ["ReductionReport", "ReactionRecord", "ReductionEngine", "reduce_solution", "is_inert"]
@@ -106,11 +105,6 @@ class ReductionReport:
         reduction (and across merged reports).  ``sum(rule_fires.values())``
         always equals ``reactions``; the dynamic analyzer uses this to flag
         registered rules that never fired over a run or sweep.
-    batches:
-        Number of non-empty reaction batches applied by the batched engine
-        (``ReductionEngine(batch=True)``).  Zero under the serial engine;
-        ``batches <= reactions`` always, and the ratio measures how much
-        per-level work the batching amortised.
     patched:
         Number of reactions applied through the in-place delta path
         (:class:`~repro.hocl.deltas.RewriteDelta`) rather than by rebuilding
@@ -126,7 +120,6 @@ class ReductionReport:
         default_factory=lambda: {"match": 0.0, "rewrite": 0.0, "patch": 0.0, "index": 0.0}
     )
     rule_fires: dict[str, int] = field(default_factory=dict)
-    batches: int = 0
     patched: int = 0
 
     def merge(self, other: "ReductionReport") -> None:
@@ -142,7 +135,6 @@ class ReductionReport:
         self.match_attempts += other.match_attempts
         self.inert = self.inert and other.inert
         self.history.extend(other.history)
-        self.batches += other.batches
         self.patched += other.patched
         for phase, seconds in other.timings.items():
             self.timings[phase] = self.timings.get(phase, 0.0) + seconds
@@ -168,57 +160,6 @@ class ReductionReport:
 ReactionObserver = Callable[[Rule, Match, int], None]
 
 
-class _LevelFrontier:
-    """The dirty-atom frontier of one solution level (batched engine state).
-
-    The batched engine's central invariant: after a pass over a level, no
-    rule can match a combination of atoms that are all *clean* (present and
-    untouched since that pass) — any new match must consume at least one
-    atom of the frontier: a product added by a reaction, or an atom whose
-    nested solution reacted.  Each pass therefore only enumerates matches
-    led by a frontier atom, instead of re-exhausting the whole level.
-
-    ``version`` is the solution version at the last point where every
-    mutation was accounted for in the frontier; a mismatch on re-entry means
-    someone mutated the solution outside the engine (an agent delivering a
-    message, a test poking atoms in), and the only safe answer is a full
-    rescan (``full=True``, the state of a freshly created frontier).
-    """
-
-    __slots__ = ("dirty", "next_dirty", "version", "full")
-
-    def __init__(self) -> None:
-        self.dirty: dict[int, Atom] = {}
-        self.next_dirty: dict[int, Atom] = {}
-        self.version = -1
-        self.full = True
-
-    def mark(self, atom: Atom) -> None:
-        """Add ``atom`` to the current frontier (consumed by the next pass)."""
-        self.dirty[id(atom)] = atom
-
-    def mark_next(self, atom: Atom) -> None:
-        """Add ``atom`` to the next frontier (a product of the running pass)."""
-        self.next_dirty[id(atom)] = atom
-
-    def forget(self, atom: Atom) -> None:
-        """Drop a consumed atom from both frontiers."""
-        self.dirty.pop(id(atom), None)
-        self.next_dirty.pop(id(atom), None)
-
-    def advance(self) -> None:
-        """Finish a pass: the atoms it touched become the next frontier."""
-        self.dirty = self.next_dirty
-        self.next_dirty = {}
-        self.full = False
-
-    def reset(self) -> None:
-        """Invalidate everything: the next pass must rescan the whole level."""
-        self.dirty = {}
-        self.next_dirty = {}
-        self.full = True
-
-
 class ReductionEngine:
     """Reduce HOCL solutions to inertness.
 
@@ -239,21 +180,6 @@ class ReductionEngine:
         sub-solution and prunes rules through the multiset's head-symbol
         index; ``False`` restores the naive re-reduce-everything behaviour
         (same traces, used as the benchmark baseline).
-    batch:
-        When ``True``, each pass over a level applies *every* applicable
-        match with pairwise-disjoint reactant sets (decided on atom
-        identity) in one batch, instead of restarting the scan after every
-        single reaction — and, crucially, each pass after the first only
-        searches from the level's dirty-atom *frontier* (products of the
-        previous pass plus atoms whose nested solutions reacted), because a
-        pass establishes that no rule can match clean atoms alone (see
-        :class:`_LevelFrontier`).  Batching preserves the final inert
-        solution and the reaction multiset (``rule_fires``) for the
-        confluent programs GinFlow uses, but the *order* of
-        :attr:`ReductionReport.history` may differ from the serial
-        engine's, because several same-level reactions happen before nested
-        solutions are re-descended.  ``ReductionReport.batches`` counts the
-        applied batches.
     delta:
         When ``True`` (the default), rules that carry a
         :class:`~repro.hocl.deltas.RewriteDelta` fire through it: matched
@@ -287,7 +213,6 @@ class ReductionEngine:
         max_steps: int = 100_000,
         observer: ReactionObserver | None = None,
         incremental: bool = True,
-        batch: bool = False,
         delta: bool = True,
         trace: Tracer | None = None,
         trace_track: str = "reduction",
@@ -296,14 +221,9 @@ class ReductionEngine:
         self.max_steps = int(max_steps)
         self.observer = observer
         self.incremental = bool(incremental)
-        self.batch = bool(batch)
         self.delta = bool(delta)
         self.trace = active_tracer(trace)
         self.trace_track = trace_track
-        #: per-solution frontier states of the batched engine, keyed by
-        #: ``id(solution)``; the stored solution reference both keeps the id
-        #: stable and detects a recycled id.
-        self._frontiers: dict[int, tuple[Multiset, _LevelFrontier]] = {}
 
     # ----------------------------------------------------------------- public
     def reduce(self, solution: Multiset) -> ReductionReport:
@@ -337,9 +257,6 @@ class ReductionEngine:
         return solution.nested_solutions()
 
     def _reduce_level(self, solution: Multiset, depth: int, report: ReductionReport) -> None:
-        if self.batch:
-            self._reduce_level_batch(solution, depth, report)
-            return
         incremental = self.incremental
         while True:
             if report.reactions >= self.max_steps:
@@ -362,76 +279,6 @@ class ReductionEngine:
             # reaction may have created new nested solutions or re-enabled
             # nested rules.
             if not self._apply_first_applicable(solution, depth, report):
-                if incremental:
-                    solution.note_inert()
-                return
-
-    def _frontier_for(self, solution: Multiset) -> _LevelFrontier:
-        """The frontier state of ``solution``, reset if the level changed
-        outside the engine's own (tracked) mutations."""
-        key = id(solution)
-        item = self._frontiers.get(key)
-        if item is None or item[0] is not solution:
-            state = _LevelFrontier()
-            self._frontiers[key] = (solution, state)
-        else:
-            state = item[1]
-            if state.version != solution.version:
-                state.reset()
-        return state
-
-    def mark_frontier(self, solution: Multiset, atoms: "list[Atom]") -> None:
-        """Account for external mutations below the given top-level ``atoms``.
-
-        The sharded reducer (:mod:`repro.hocl.parallel`) reduces nested
-        sub-solutions with *other* engine instances, which bumps the
-        top-level version behind this engine's back; marking the owning
-        atoms dirty here (after the shard phase, before the next surface
-        pass) keeps the frontier valid without the full rescan an unexplained
-        version bump would otherwise force.
-        """
-        if not self.batch:
-            return
-        item = self._frontiers.get(id(solution))
-        if item is None or item[0] is not solution:
-            return  # no state yet: the first surface pass scans everything
-        state = item[1]
-        for atom in atoms:
-            state.mark(atom)
-        state.version = solution.version
-
-    def _reduce_level_batch(self, solution: Multiset, depth: int, report: ReductionReport) -> None:
-        incremental = self.incremental
-        if report.reactions >= self.max_steps:
-            report.inert = False
-            return
-        if incremental and solution.known_inert:
-            return
-        state = self._frontier_for(solution)
-        while True:
-            # 1. bring every nested solution to inertness first; any nested
-            # activity makes the owning atom part of this level's frontier.
-            nested_active = False
-            for atom, nested in solution.nested_solution_items():
-                if incremental and nested.known_inert:
-                    continue
-                before = report.reactions
-                self._reduce_level_batch(nested, depth + 1, report)
-                if report.reactions >= self.max_steps:
-                    report.inert = False
-                    state.version = solution.version
-                    return
-                if report.reactions != before:
-                    nested_active = True
-                    state.mark(atom)
-            # 2. then react at this level: one frontier pass applies every
-            # applicable disjoint match involving a dirty atom.
-            applied = self._apply_batch(solution, depth, report, state)
-            state.version = solution.version
-            if report.reactions >= self.max_steps:
-                report.inert = False
-                return
-            if not applied and not nested_active:
                 if incremental:
                     solution.note_inert()
                 return
@@ -484,189 +331,6 @@ class ReductionEngine:
             self.trace.span("reduction.match", self.trace_track, started, now, depth=depth)
         return False
 
-    def reduce_level_once(self, solution: Multiset, report: ReductionReport, depth: int = 0) -> bool:
-        """React at the top level of ``solution`` only (no nested descent).
-
-        Applies one reaction (serial) or one frontier batch of disjoint
-        reactions (``batch=True``) and returns whether anything fired.  The
-        sharded reducer (:mod:`repro.hocl.parallel`) alternates this with
-        parallel sub-solution reduction — see :meth:`mark_frontier` for how
-        the two stay consistent; nested solutions must already be inert for
-        the result to be HOCL-faithful, exactly as in :meth:`reduce`.
-        """
-        if self.batch:
-            state = self._frontier_for(solution)
-            applied = self._apply_batch(solution, depth, report, state)
-            state.version = solution.version
-            return applied > 0
-        return self._apply_first_applicable(solution, depth, report)
-
-    def _apply_batch(
-        self, solution: Multiset, depth: int, report: ReductionReport, state: _LevelFrontier
-    ) -> int:
-        """One frontier pass: apply every applicable disjoint *new* match.
-
-        A fresh (or invalidated) frontier scans the whole level once, like
-        the serial engine's final failing attempt.  Every later pass only
-        enumerates matches that consume at least one frontier atom — for
-        each rule, one enumeration per pattern position with that position
-        pinned to the frontier candidates, the other patterns running in
-        declaration order over binding-narrowed buckets
-        (:meth:`~repro.hocl.rules.Rule.find_matches_from`).  By the frontier
-        invariant (see :class:`_LevelFrontier`) matches among clean atoms
-        cannot exist, so a pass that applies nothing proves the level inert
-        as reliably as a full exhaustion — at a cost proportional to what
-        changed, not to the level size.
-
-        Matches fire as soon as they are found, and the rule's enumeration
-        then *restarts* under the grown claim set: a fresh search excludes
-        claimed atoms at candidate-selection time, whereas resuming a
-        suspended generator would keep constructing full matches below an
-        already-claimed choice (a fan-out atom with many destinations builds
-        one complete match per destination) only to discard them.  Restarting
-        also freezes the claim set for the lifetime of each search, so an
-        enumeration never goes stale mid-flight.  Products join the *next*
-        frontier; a produced rule invalidates the whole frontier, since a
-        new rule can match atoms no pass needed to revisit.
-
-        The claim map holds strong references, not bare ids: a consumed atom
-        may otherwise be freed mid-pass and a *product* allocated at the
-        recycled address, aliasing the dead claim and silently excluding the
-        product from the rest of the pass (heap-layout-dependent
-        ``match_attempts``).  Kept delta anchors are released from the map
-        once their reaction fires — they play the role of fresh products.
-        """
-        claimed: dict[int, object] = {}
-
-        def is_claimed(atom: object) -> bool:
-            return id(atom) in claimed
-
-        applied = 0
-        rescan = False
-        started = perf_counter()
-        if state.full:
-            dirty_entries = None
-        else:
-            if not state.dirty:
-                state.advance()
-                return 0
-            # map frontier atoms back to their occurrence entries through
-            # each atom's most specific index bucket (a handful of entries)
-            dirty_entries = []
-            for atom in state.dirty.values():
-                for entry in solution.live_entries(atom_index_keys(atom)[0]):
-                    if entry.atom is atom:
-                        dirty_entries.append(entry)
-        for rule in self._ordered_rules(solution):
-            if id(rule) in claimed:
-                continue  # consumed by an earlier reaction of this pass
-            if self.incremental and not self._plausible(rule, solution):
-                continue
-            charged = False
-            while True:
-                # one fresh first-match search per fired reaction
-                match = None
-                if dirty_entries is None:
-                    if not charged:
-                        report.match_attempts += 1
-                        charged = True
-                    for candidate in rule.find_all_matches(solution, exclude=is_claimed):
-                        if any(consumed is rule for consumed in candidate.consumed):
-                            continue  # a rule never consumes itself
-                        match = candidate
-                        break
-                else:
-                    live = [
-                        entry for entry in dirty_entries if id(entry.atom) not in claimed
-                    ]
-                    enumerations = []
-                    for lead, key in enumerate(rule.pattern_index_keys):
-                        # structural pre-filter (memoized): an enumeration
-                        # whose every pinned candidate quick-rejects cannot
-                        # yield, and skipping it here skips the full
-                        # candidate iteration of the patterns before the
-                        # pinned one.
-                        pattern = rule.patterns[lead]
-                        lead_entries = [
-                            e
-                            for e in live
-                            if (key is None or key in atom_index_keys(e.atom))
-                            and not pattern.quick_reject(e.atom)
-                        ]
-                        if lead_entries:
-                            enumerations.append(
-                                rule.find_matches_from(
-                                    solution, lead, lead_entries, exclude=is_claimed
-                                )
-                            )
-                    if not enumerations:
-                        break  # no frontier atom can feed this rule: no search
-                    if not charged:
-                        report.match_attempts += 1
-                        charged = True
-                    for enumeration in enumerations:
-                        for candidate in enumeration:
-                            if any(consumed is rule for consumed in candidate.consumed):
-                                continue
-                            match = candidate
-                            break
-                        if match is not None:
-                            break
-                if match is None:
-                    break
-                if report.reactions >= self.max_steps:
-                    now = perf_counter()
-                    report.timings["match"] += now - started
-                    if self.trace is not None:
-                        self.trace.span("reduction.match", self.trace_track, started, now, depth=depth)
-                    return applied
-                for atom in match.consumed:
-                    claimed[id(atom)] = atom
-                if rule.one_shot:
-                    claimed[id(rule)] = rule
-                now = perf_counter()
-                report.timings["match"] += now - started
-                if self.trace is not None:
-                    self.trace.span(
-                        "reduction.match", self.trace_track, started, now, depth=depth, rule=rule.name
-                    )
-                removed, dirty, kept = self._apply(rule, match, solution, depth, report)
-                applied += 1
-                for atom in removed:
-                    state.forget(atom)
-                if rule.one_shot:
-                    state.forget(rule)
-                if kept:
-                    # delta path: the kept-and-repositioned anchors now play
-                    # the role of fresh rebuild products — matchable again
-                    # within this pass (unclaimed), but never as this pass's
-                    # frontier leads (their pass-start entries are stale).
-                    kept_ids = {id(atom) for atom in kept}
-                    for kept_id in kept_ids:
-                        claimed.pop(kept_id, None)
-                    if dirty_entries is not None:
-                        dirty_entries = [
-                            entry for entry in dirty_entries if id(entry.atom) not in kept_ids
-                        ]
-                for atom in dirty:
-                    state.mark_next(atom)
-                    if atom.kind == "rule":
-                        rescan = True
-                started = perf_counter()
-                if rule.one_shot:
-                    break  # replace-one: the rule is gone
-        now = perf_counter()
-        report.timings["match"] += now - started
-        if self.trace is not None:
-            self.trace.span("reduction.match", self.trace_track, started, now, depth=depth)
-        if applied:
-            report.batches += 1
-        if rescan:
-            state.reset()
-        else:
-            state.advance()
-        return applied
-
     def _has_applicable_rule(self, solution: Multiset, report: ReductionReport) -> bool:
         if self.incremental and solution.known_inert:
             return False
@@ -695,18 +359,8 @@ class ReductionEngine:
 
     def _apply(
         self, rule: Rule, match: Match, solution: Multiset, depth: int, report: ReductionReport
-    ) -> tuple[list[Atom], list[Atom], list[Atom]]:
-        """Fire ``rule`` on ``match``; returns ``(removed, dirty, kept)``.
-
-        ``removed`` lists the top-level atoms the reaction took out of the
-        solution and ``dirty`` the atoms it left needing another look —
-        inserted products plus, on the delta path, every kept matched atom.
-        ``kept`` is the delta path's kept-and-repositioned subset of
-        ``dirty`` (empty on the rebuild path): the batched engine must treat
-        those exactly like fresh products — release them from the pass's
-        claim set and drop them from the pass's remaining frontier leads —
-        so both paths enumerate identically.
-        """
+    ) -> None:
+        """Fire ``rule`` on ``match`` and record the reaction in ``report``."""
         started = perf_counter()
         delta = rule.delta if self.delta else None
         if delta is not None:
@@ -737,9 +391,7 @@ class ReductionEngine:
                     depth=depth,
                     index_seconds=indexed_at - patched_at,
                 )
-            removed = applied.removed
-            kept = applied.kept
-            dirty = kept + applied.added
+            produced = len(applied.kept) + len(applied.added)
         else:
             try:
                 products = rule.produce(match, self.externals)
@@ -771,20 +423,17 @@ class ReductionEngine:
                     depth=depth,
                     index_seconds=indexed_at - produced_at,
                 )
-            removed = list(match.consumed)
-            dirty = products
-            kept = []
+            produced = len(products)
         report.reactions += 1
         report.rule_fires[rule.name] = report.rule_fires.get(rule.name, 0) + 1
         report.history.append(
             ReactionRecord(
-                rule=rule.name, depth=depth, consumed=len(match.consumed), produced=len(dirty)
+                rule=rule.name, depth=depth, consumed=len(match.consumed), produced=produced
             )
         )
         rule.fire_effect(match)
         if self.observer is not None:
             self.observer(rule, match, depth)
-        return removed, dirty, kept
 
 
 def reduce_solution(

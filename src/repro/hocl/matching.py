@@ -22,13 +22,13 @@ occurrences to multi-pattern rules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .atoms import Atom
 from .multiset import Multiset
 from .patterns import Bindings, Pattern
 
-__all__ = ["Match", "find_matches", "find_matches_pinned", "find_first_match", "count_matches"]
+__all__ = ["Match", "find_matches", "find_first_match", "count_matches"]
 
 
 @dataclass
@@ -53,7 +53,6 @@ def find_matches(
     solution: Multiset,
     condition: Callable[[Bindings], bool] | None = None,
     initial_bindings: Bindings | None = None,
-    exclude: Callable[[Atom], bool] | None = None,
 ) -> Iterator[Match]:
     """Yield every match of ``patterns`` against distinct atoms of ``solution``.
 
@@ -70,12 +69,6 @@ def find_matches(
     initial_bindings:
         Optional starting environment (used by the engine to pre-bind
         context variables such as the owning task name).
-    exclude:
-        Optional identity predicate over top-level candidates; atoms for
-        which it returns ``True`` are skipped *before* any structural
-        matching.  The batched engine passes its claimed-atom check here, so
-        candidates consumed earlier in the same batch cost one call instead
-        of a full pattern descent.
     """
     base: Bindings = dict(initial_bindings) if initial_bindings else {}
     # Cheap structural refutation first: every pattern needs at least one
@@ -110,8 +103,6 @@ def find_matches(
             # __eq__, so `in` is a C-speed identity scan.
             if entry in used:
                 continue
-            if exclude is not None and exclude(entry.atom):
-                continue
             # binding-free pre-check: skip the generator cascade for the
             # (overwhelmingly common) structurally impossible candidates
             if pattern.quick_reject(entry.atom):
@@ -120,63 +111,6 @@ def find_matches(
                 yield from recurse(index + 1, used + [entry], extended)
 
     yield from recurse(0, [], base)
-
-
-def find_matches_pinned(
-    patterns: Sequence[Pattern],
-    solution: Multiset,
-    condition: Callable[[Bindings], bool] | None = None,
-    *,
-    pinned: int,
-    pinned_entries: Sequence[Any],
-    exclude: Callable[[Atom], bool] | None = None,
-) -> Iterator[Match]:
-    """Yield matches with pattern ``pinned`` restricted to a fixed entry set.
-
-    The batched engine's *frontier* enumeration: pattern ``pinned`` draws its
-    candidates from ``pinned_entries`` — the occurrence entries of atoms that
-    changed since the last pass — while every other pattern runs over its
-    (binding-narrowed) bucket as usual.  Every match in which the pinned
-    pattern consumes one of the given occurrences is produced; matches
-    touching none of them are the previous passes' responsibility.
-
-    The patterns are tried in **declaration order** even when the pinned one
-    comes late.  This preserves the selectivity rule authors encode in their
-    pattern order (the serial engine relies on the same order): when the
-    frontier atom sits in a *late* pattern — e.g. a fan-in hub rewritten by
-    every ``gw_pass`` firing — the earlier, cheaper-to-refute patterns bind
-    the join variables first, so the hub's internal nondeterminism (which
-    source to pull) is explored with those variables already fixed instead of
-    once per remaining source.
-    """
-    total = len(patterns)
-    fetched: dict[tuple[int, Any], list] = {}
-
-    def candidates_at(index: int, env: Bindings) -> list:
-        key = patterns[index].index_key_with(env)
-        cached = fetched.get((index, key))
-        if cached is None:
-            cached = fetched[(index, key)] = solution.candidate_entries(key)
-        return cached
-
-    def recurse(index: int, used: list, env: Bindings) -> Iterator[Match]:
-        if index == total:
-            if condition is None or condition(env):
-                yield Match(bindings=env, consumed=[entry.atom for entry in used])
-            return
-        pattern = patterns[index]
-        entries = pinned_entries if index == pinned else candidates_at(index, env)
-        for entry in entries:
-            if entry in used:
-                continue
-            if exclude is not None and exclude(entry.atom):
-                continue
-            if pattern.quick_reject(entry.atom):
-                continue
-            for extended in pattern.match(entry.atom, env):
-                yield from recurse(index + 1, used + [entry], extended)
-
-    yield from recurse(0, [], {})
 
 
 def find_first_match(

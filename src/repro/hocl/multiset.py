@@ -483,15 +483,6 @@ class Multiset:
         """
         return [solution for _entry, solution in self._nested]
 
-    def nested_solution_items(self) -> list[tuple[Atom, "Multiset"]]:
-        """Like :meth:`nested_solutions`, paired with the atom holding each.
-
-        The batched engine uses the owning atom to mark the right top-level
-        candidate dirty when a nested reduction changed something below it.
-        Returns a snapshot safe to iterate across mutations.
-        """
-        return [(entry.atom, solution) for entry, solution in self._nested]
-
     def rules(self) -> list[Atom]:
         """Every top-level rule atom (higher-order content of the solution)."""
         return [entry.atom for entry in self._index.get(_KIND_RULE, ())]

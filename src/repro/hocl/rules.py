@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterator, Sequence
 from .atoms import Atom, from_atom
 from .deltas import RewriteDelta
 from .errors import RuleError
-from .matching import Match, find_first_match, find_matches, find_matches_pinned
+from .matching import Match, find_first_match, find_matches
 from .multiset import Multiset
 from .patterns import Bindings, as_pattern
 from .templates import Compute, expand_templates, template_referenced_names
@@ -206,41 +206,9 @@ class Rule(Atom):
         """First match of this rule's left-hand side in ``solution``, or ``None``."""
         return find_first_match(self.patterns, solution, self._wrapped_condition(), initial_bindings)
 
-    def find_all_matches(
-        self, solution: Multiset, exclude: "Callable[[Atom], bool] | None" = None
-    ) -> Iterator[Match]:
-        """Iterate over every current match of the rule in ``solution``.
-
-        ``exclude`` skips top-level candidates by identity before any
-        structural matching (see :func:`~repro.hocl.matching.find_matches`);
-        the batched engine uses it to prune atoms already claimed by earlier
-        reactions of the same batch.
-        """
-        return find_matches(self.patterns, solution, self._wrapped_condition(), exclude=exclude)
-
-    def find_matches_from(
-        self,
-        solution: Multiset,
-        lead: int,
-        lead_entries: Sequence[Any],
-        exclude: "Callable[[Atom], bool] | None" = None,
-    ) -> Iterator[Match]:
-        """Matches in which pattern ``lead`` consumes one of ``lead_entries``.
-
-        The batched engine's frontier search: the patterns run in their
-        declaration order with binding-narrowed bucket lookups, except that
-        pattern ``lead`` only considers the given occurrence entries (atoms
-        dirtied since the last pass).  See
-        :func:`~repro.hocl.matching.find_matches_pinned`.
-        """
-        return find_matches_pinned(
-            self.patterns,
-            solution,
-            self._wrapped_condition(),
-            pinned=lead,
-            pinned_entries=lead_entries,
-            exclude=exclude,
-        )
+    def find_all_matches(self, solution: Multiset) -> Iterator[Match]:
+        """Iterate over every current match of the rule in ``solution``."""
+        return find_matches(self.patterns, solution, self._wrapped_condition())
 
     def is_applicable(self, solution: Multiset) -> bool:
         """Whether the rule can fire on ``solution`` right now."""

@@ -3,9 +3,9 @@
 The registry is a per-run bundle (one instance per
 :class:`~repro.obs.Observability`): the runtimes and brokers increment it at
 their hot seams and the report assembly snapshots it into
-``RunReport.extra["metrics"]``.  Thread-safe (the threaded runtime and
-parallel reducers hit it concurrently) and picklable (process-pool sweeps
-ship the whole configuration to workers).
+``RunReport.extra["metrics"]``.  Thread-safe (the threaded runtime's agent
+threads hit it concurrently) and picklable (process-pool sweeps ship the
+whole configuration to workers).
 """
 
 from __future__ import annotations

@@ -57,10 +57,6 @@ class _AsyncAgent(AgentHost):
 
     queue: "asyncio.Queue[Any] | None" = None
     task: "asyncio.Task | None" = None
-    #: serializes this agent's stimuli when they are offloaded to the
-    #: reduction pool (the agent loop and an invocation-completion task
-    #: would otherwise interleave once off the loop thread)
-    lock: "asyncio.Lock | None" = None
 
 
 class AsyncioRun:
@@ -72,7 +68,6 @@ class AsyncioRun:
         self._engine: EnactmentEngine | None = None
         self._done: asyncio.Event | None = None
         self._invocations: set[asyncio.Task] = set()
-        self._reducer = None
 
     # ------------------------------------------------------------------ run
     def run(self, timeout: float = 60.0) -> RunReport:
@@ -100,24 +95,14 @@ class AsyncioRun:
         )
         self._engine = engine
 
-        # Under a parallel policy, whole stimuli (boot/deliver/completion)
-        # run on the reducer's thread pool via `run_async`, so the CPU-heavy
-        # reductions of different agents genuinely overlap while the loop
-        # stays free.  The engine already supports concurrent per-agent
-        # stimuli (the threaded runtime drives it that way); the per-agent
-        # lock keeps each *single* agent's stimuli serialized.  The core
-        # gets the policy (for batch engines) but no nested reducer.
-        policy = self.config.reduction_policy()
-        self._reducer = policy.make_reducer()
         for name, task_encoding in encoding.tasks.items():
             agent = engine.add_host(
                 _AsyncAgent(
                     encoding=task_encoding,
-                    core=AgentCore(task_encoding, reduction=policy, trace=tracer),
+                    core=AgentCore(task_encoding, trace=tracer),
                 )
             )
             agent.queue = asyncio.Queue()
-            agent.lock = asyncio.Lock()
             broker.subscribe(agent_topic(name), agent.queue.put_nowait)
         engine.subscribe_status()
 
@@ -146,9 +131,6 @@ class AsyncioRun:
                 )
         for pending in list(self._invocations):
             pending.cancel()
-        if self._reducer is not None:
-            self._reducer.shutdown()
-            self._reducer = None
         elapsed = time.monotonic() - start
         report = ReportAssembler(engine).assemble(
             mode="asyncio",
@@ -165,26 +147,14 @@ class AsyncioRun:
         return report
 
     # ----------------------------------------------------------- agent loop
-    async def _stimulate(self, agent: _AsyncAgent, fn: Any, *args: Any) -> Any:
-        """Run one engine stimulus, offloaded to the reduction pool if any.
-
-        Dispatch stays on the loop (it creates tasks and posts to the
-        broker); only the stimulus itself — which ends in the agent's HOCL
-        reduction — moves to the pool.
-        """
-        if self._reducer is None:
-            return fn(agent, *args)
-        async with agent.lock:
-            return await self._reducer.run_async(fn, agent, *args)
-
     async def _agent_loop(self, agent: _AsyncAgent) -> None:
         engine = self._engine
-        engine.dispatch(agent, await self._stimulate(agent, engine.boot))
+        engine.dispatch(agent, engine.boot(agent))
         while True:
             message = await agent.queue.get()
             if message is _POISON:
                 return
-            engine.dispatch(agent, await self._stimulate(agent, engine.deliver, message))
+            engine.dispatch(agent, engine.deliver(agent, message))
 
     # ----------------------------------------------------------- invocation
     def _invoke(self, agent: _AsyncAgent, prepared: PreparedInvocation) -> None:
@@ -230,7 +200,7 @@ class AsyncioRun:
             else:
                 outcome = replace(outcome, value=value)
         engine = self._engine
-        engine.dispatch(agent, await self._stimulate(agent, engine.complete_invocation, outcome))
+        engine.dispatch(agent, engine.complete_invocation(agent, outcome))
 
 
 def run_asyncio(workflow: Workflow, config: GinFlowConfig | None = None, timeout: float = 60.0) -> RunReport:

@@ -159,9 +159,7 @@ class GinFlow:
 )
 def _centralized_runtime(workflow: Workflow, config: GinFlowConfig, timeout: float | None = None) -> RunReport:
     """Run ``workflow`` on a single centralised HOCL interpreter."""
-    executor = CentralizedExecutor(
-        registry=config.build_registry(), reduction=config.reduction_policy(), obs=config.obs
-    )
+    executor = CentralizedExecutor(registry=config.build_registry(), obs=config.obs)
     outcome = executor.execute(workflow)
     exit_tasks = set(workflow.exit_tasks())
     report = RunReport(
@@ -201,8 +199,6 @@ def _centralized_runtime(workflow: Workflow, config: GinFlowConfig, timeout: flo
     )
     report.extra["invocations"] = outcome.invocations
     report.extra["rule_fires"] = dict(outcome.report.rule_fires)
-    report.extra["reduction"] = config.reduction
-    report.extra["batches"] = outcome.report.batches
     report.extra["reduction_timings"] = dict(outcome.report.timings)
     if config.obs is not None and config.obs.metrics is not None:
         report.extra["metrics"] = config.obs.metrics.snapshot()

@@ -105,15 +105,11 @@ class SimulatedRun:
         agent_names = encoding.task_names()
         plan = executor.plan(cluster, agent_names)
 
-        # Virtual time is single-threaded by construction, so a parallel
-        # policy degrades to its batch component here: same final solutions,
-        # no pool.  (Simulated timings model the *platform*, not host CPU.)
-        policy = config.reduction_policy()
         for name in agent_names:
             agent = engine.add_host(
                 _SimAgent(
                     encoding=encoding.tasks[name],
-                    core=AgentCore(encoding.tasks[name], reduction=policy, trace=tracer),
+                    core=AgentCore(encoding.tasks[name], trace=tracer),
                     node=plan.placement.get(name, "unknown"),
                     serial=SerialQueue(self._sim, name=f"agent-{name}"),
                 )

@@ -80,17 +80,11 @@ class ThreadedRun:
         )
         self._engine = engine
 
-        # One shared reduction pool for every agent (None when the policy is
-        # not parallel).  AgentCore.run blocks the calling agent thread, so
-        # per-agent stimuli stay serialized; the pool only bounds how many
-        # CPU-heavy reductions run at once across agents.
-        policy = self.config.reduction_policy()
-        reducer = policy.make_reducer()
         for name, task_encoding in encoding.tasks.items():
             agent = engine.add_host(
                 _ThreadedAgent(
                     encoding=task_encoding,
-                    core=AgentCore(task_encoding, reduction=policy, reducer=reducer, trace=tracer),
+                    core=AgentCore(task_encoding, trace=tracer),
                 )
             )
             broker.subscribe(agent_topic(name), agent.inbox.put)
@@ -110,8 +104,6 @@ class ThreadedRun:
         for agent in engine.hosts.values():
             if agent.thread is not None:
                 agent.thread.join(timeout=2.0)
-        if reducer is not None:
-            reducer.shutdown()
         elapsed = time.monotonic() - start
         return self._build_report(elapsed, timed_out=not completed)
 

@@ -121,7 +121,9 @@ class Workflow:
         """Declare that ``destination`` consumes the output of ``source``."""
         for endpoint in (source, destination):
             if endpoint not in self._tasks:
-                raise WorkflowValidationError(f"dependency references unknown task {endpoint!r}")
+                raise WorkflowValidationError(
+                    f"dependency {source!r} -> {destination!r} references unknown task {endpoint!r}"
+                )
         if source == destination:
             raise WorkflowValidationError(f"task {source!r} cannot depend on itself")
         if destination in self._successors[source]:

@@ -123,6 +123,37 @@ def _require(mapping: Mapping[str, Any], key: str, context: str) -> Any:
     return mapping[key]
 
 
+#: How each JSON type a field may require is named in error messages.
+_TYPE_NAMES: dict[Any, str] = {
+    list: "a list",
+    Mapping: "an object",
+    (int, float): "a number",
+    str: "a string",
+}
+
+
+_MISSING: Any = object()
+
+
+def _typed(mapping: Mapping[str, Any], key: str, kind: Any, context: str, default: Any = _MISSING) -> Any:
+    """``mapping[key]`` (``default`` when absent), required to be of ``kind``.
+
+    Without ``default`` the key is required.  Without the type check a
+    string ``depends_on`` iterates as characters and a numeric ``metadata``
+    fails deep inside the model with no task named.
+    """
+    if key not in mapping:
+        if default is _MISSING:
+            raise JSONFormatError(f"{context}: missing required key {key!r}")
+        return default
+    value = mapping[key]
+    if not isinstance(value, kind) or (kind == (int, float) and isinstance(value, bool)):
+        raise JSONFormatError(
+            f"{context}: {key!r} must be {_TYPE_NAMES[kind]}, got {type(value).__name__}"
+        )
+    return value
+
+
 def workflow_from_dict(document: Mapping[str, Any]) -> Workflow:
     """Build a workflow from a parsed JSON document."""
     if not isinstance(document, Mapping):
@@ -137,32 +168,44 @@ def workflow_from_dict(document: Mapping[str, Any]) -> Workflow:
     for entry in tasks:
         if not isinstance(entry, Mapping):
             raise JSONFormatError(f"workflow {name!r}: each task must be an object")
-        task_name = _require(entry, "name", f"workflow {name!r} task")
-        service = _require(entry, "service", f"task {task_name!r}")
+        task_name = _typed(entry, "name", str, f"workflow {name!r} task")
+        context = f"task {task_name!r}"
         task = Task(
             name=task_name,
-            service=service,
-            inputs=list(entry.get("inputs", [])),
-            duration=float(entry.get("duration", 0.0)),
-            metadata=dict(entry.get("metadata", {})),
+            service=_typed(entry, "service", str, context),
+            inputs=list(_typed(entry, "inputs", list, context, [])),
+            duration=float(_typed(entry, "duration", (int, float), context, 0.0)),
+            metadata=dict(_typed(entry, "metadata", Mapping, context, {})),
         )
         workflow.add_task(task)
-        for source in entry.get("depends_on", []):
+        for source in _typed(entry, "depends_on", list, context, []):
+            if not isinstance(source, str):
+                raise JSONFormatError(
+                    f"{context}: 'depends_on' entries must be task names, got {source!r}"
+                )
             dependencies.append((source, task_name))
     for source, destination in dependencies:
         workflow.add_dependency(source, destination)
 
-    for adaptation in document.get("adaptations", []):
+    for adaptation in _typed(document, "adaptations", list, f"workflow {name!r}", []):
+        if not isinstance(adaptation, Mapping):
+            raise JSONFormatError(
+                f"workflow {name!r}: each adaptation must be an object, got {type(adaptation).__name__}"
+            )
         spec_name = _require(adaptation, "name", "adaptation")
-        replacement_doc = _require(adaptation, "replacement", f"adaptation {spec_name!r}")
+        context = f"adaptation {spec_name!r}"
+        replacement_doc = _require(adaptation, "replacement", context)
+        entry_sources = _typed(adaptation, "entry_sources", Mapping, context, {})
+        trigger_on = _typed(adaptation, "trigger_on", list, context, [])
         spec = AdaptationSpec(
             name=spec_name,
-            replaced=list(_require(adaptation, "replaced", f"adaptation {spec_name!r}")),
+            replaced=list(_typed(adaptation, "replaced", list, context)),
             replacement=workflow_from_dict(replacement_doc),
             entry_sources={
-                key: list(value) for key, value in adaptation.get("entry_sources", {}).items()
+                key: list(_typed(entry_sources, key, list, f"{context} entry_sources"))
+                for key in entry_sources
             },
-            trigger_on=list(adaptation["trigger_on"]) if adaptation.get("trigger_on") else None,
+            trigger_on=list(trigger_on) if trigger_on else None,
             clear_destination_inputs=bool(adaptation.get("clear_destination_inputs", False)),
         )
         workflow.add_adaptation(spec)

@@ -97,6 +97,16 @@ class TestBenchHelpers:
         assert std([1]) == 0.0
 
 
+def _import_collate_trend():
+    bench_dir = str(Path(__file__).resolve().parent.parent / "benchmarks")
+    sys.path.insert(0, bench_dir)
+    try:
+        import collate_trend
+    finally:
+        sys.path.remove(bench_dir)
+    return collate_trend
+
+
 class TestCollateTrendPlot:
     @staticmethod
     def _artifact(wall):
@@ -124,12 +134,7 @@ class TestCollateTrendPlot:
         }
 
     def test_plot_renders_svg(self, tmp_path):
-        bench_dir = str(Path(__file__).resolve().parent.parent / "benchmarks")
-        sys.path.insert(0, bench_dir)
-        try:
-            import collate_trend
-        finally:
-            sys.path.remove(bench_dir)
+        collate_trend = _import_collate_trend()
         for sha, wall in (("aaaaaaa", 1.0), ("bbbbbbb", 1.2)):
             (tmp_path / f"BENCH_reduction-{sha}.json").write_text(
                 json.dumps(self._artifact(wall))
@@ -144,6 +149,35 @@ class TestCollateTrendPlot:
         assert "phase split: montage-100-centralized [serial]" in body
         # one wall polyline + four phase polylines
         assert body.count("<polyline") == 5
+
+    def test_reads_schema_4_strategy_rows_beside_schema_5(self, tmp_path):
+        collate_trend = _import_collate_trend()
+        old = self._artifact(1.0)
+        serial = old["scenarios"]["montage-100-centralized"]["modes"]["serial"]
+        old["scenarios"]["montage-100-centralized"]["modes"].update(
+            batch={**serial, "wall_seconds": 1.5, "batches": 40},
+            parallel={**serial, "wall_seconds": 2.0, "batches": 40},
+        )
+        new = self._artifact(0.8)
+        new["schema_version"] = 5
+        new["scenarios"]["montage-100-centralized"]["modes"]["rebuild"] = {
+            **serial, "wall_seconds": 3.0,
+        }
+        (tmp_path / "BENCH_reduction-aaaaaaa.json").write_text(json.dumps(old))
+        (tmp_path / "BENCH_reduction-bbbbbbb.json").write_text(json.dumps(new))
+        files = sorted(collate_trend.discover([tmp_path]))
+        rows = collate_trend.collate(files, None)
+        walls = {(row["commit"], row["mode"]): row["wall_seconds"] for row in rows}
+        assert walls == {
+            ("aaaaaaa", "batch"): 1.5,
+            ("aaaaaaa", "parallel"): 2.0,
+            ("aaaaaaa", "serial"): 1.0,
+            ("bbbbbbb", "rebuild"): 3.0,
+            ("bbbbbbb", "serial"): 0.8,
+        }
+        serial_drift = [row["drift"] for row in rows if row["mode"] == "serial"]
+        assert serial_drift == [0.0, -0.2]
+        assert "batch" in collate_trend.format_table(rows)
 
 
 class TestHarnesses:

@@ -45,11 +45,10 @@ from repro.runtime import GinFlow, GinFlowConfig
 from repro.workflow import diamond_workflow, workflow_to_json
 
 MODES = ("simulated", "threaded", "asyncio", "centralized")
-REDUCTIONS = ("serial", "batch", "parallel")
 
 
-def run_diamond(mode, reduction="serial", obs=None, seed=3):
-    config = GinFlowConfig(mode=mode, nodes=4, seed=seed, reduction=reduction, obs=obs)
+def run_diamond(mode, obs=None, seed=3):
+    config = GinFlowConfig(mode=mode, nodes=4, seed=seed, obs=obs)
     return GinFlow(config).run(diamond_workflow(2, 2, duration=0.05), timeout=60.0)
 
 
@@ -265,11 +264,14 @@ class TestSummarize:
 # ---------------------------------------------------------- trace identity
 class TestTraceIdentity:
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("reduction", REDUCTIONS)
-    def test_traced_run_identical_to_untraced(self, mode, reduction):
-        plain = run_diamond(mode, reduction)
+    @pytest.mark.parametrize("engine", ["serial", "rebuild"])
+    def test_traced_run_identical_to_untraced(self, mode, engine, substitute_engine):
+        """On both rewrite paths: the rebuild path emits the rewrite spans."""
+        if engine == "rebuild":
+            substitute_engine(delta=False)
+        plain = run_diamond(mode)
         obs = Observability(tracer=RecordingTracer(), metrics=MetricsRegistry())
-        traced = run_diamond(mode, reduction, obs=obs)
+        traced = run_diamond(mode, obs=obs)
         assert plain.succeeded and traced.succeeded
         assert fingerprint(traced) == fingerprint(plain)
         if mode == "simulated":
@@ -280,6 +282,7 @@ class TestTraceIdentity:
         # and the trace actually recorded the reduction work
         names = {span.name for span in obs.tracer.spans}
         assert "reduction.match" in names
+        assert ("reduction.rewrite" if engine == "rebuild" else "reduction.patch") in names
 
     def test_null_tracer_run_identical_to_none(self):
         plain = run_diamond("simulated")
@@ -429,6 +432,18 @@ class TestObsCLI:
         assert len(cells) == 2
         assert all(cell.track == "sweep" for cell in cells)
         assert {cell.attrs.get("size") for cell in cells} == {10, 12}
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_repeated_trace_runs_do_not_merge(self, workflow_file, tmp_path, command):
+        trace = tmp_path / "repeat.trace.jsonl"
+        argv = [command, workflow_file, "--trace", str(trace)]
+        if command == "sweep":
+            argv += ["--param", "nodes=4,5"]
+        assert main(argv) == 0
+        first = trace.read_text().splitlines()
+        assert first
+        assert main(argv) == 0
+        assert len(trace.read_text().splitlines()) == len(first)
 
     def test_log_level_flag(self, workflow_file):
         assert main(["--log-level", "WARNING", "run", workflow_file]) == 0

@@ -222,7 +222,7 @@ class TestDataLayerCaches:
 
 
 # --------------------------------------------------------------------------
-# Strategy parity: serial / batch / parallel reduction
+# Strategy parity: the shipped engine against its two oracles
 # --------------------------------------------------------------------------
 
 from repro.executors.centralized import CentralizedExecutor  # noqa: E402
@@ -233,82 +233,71 @@ from repro.scenarios import available_scenarios, build_scenario  # noqa: E402
 _FAMILIES = available_scenarios()
 
 
-def _centralized_outcome(workflow, reduction: str):
-    outcome = CentralizedExecutor(reduction=reduction).execute(workflow)
+def _centralized_outcome(workflow):
+    outcome = CentralizedExecutor().execute(workflow)
     assert outcome.report.inert
     return outcome
 
 
 class TestStrategyParity:
-    """The batch and parallel strategies must be content-equivalent to serial.
+    """The serial engine and its oracles agree on every family and runtime.
 
-    Parity is defined on *content*, not on trace order: identical final
-    solution hash, identical reaction multiset (``rule_fires``), identical
-    per-task results — while ``history`` may interleave differently and the
-    batched ``match_attempts`` may only shrink.
+    Reduction is done one way — the serial incremental engine with rewrite
+    deltas.  The naive engine (``incremental=False``) and the full-rebuild
+    path (``delta=False``) are its references: centralized, both must give
+    the same reaction trace, final solution and per-task results; on the
+    threaded and asyncio runtimes the rebuild path must give the same
+    results and reaction multiset, and both match the centralized run.
     """
 
     @pytest.mark.parametrize("family", _FAMILIES)
-    def test_centralized_strategies_agree(self, family):
-        def fresh():
-            return build_scenario(f"{family}:size=12,seed=1")
+    def test_centralized_strategies_agree(self, family, substitute_engine):
+        def outcome(**engine_options):
+            substitute_engine(**engine_options)
+            return _centralized_outcome(build_scenario(f"{family}:size=12,seed=1"))
 
-        serial = _centralized_outcome(fresh(), "serial")
-        for strategy in ("batch", "parallel"):
-            other = _centralized_outcome(fresh(), strategy)
+        serial = outcome()
+        for oracle in ({"incremental": False}, {"delta": False}):
+            other = outcome(**oracle)
+            assert _trace(other.report) == _trace(serial.report), oracle
             assert other.solution.content_hash() == serial.solution.content_hash()
             assert other.report.rule_fires == serial.report.rule_fires
-            assert other.report.reactions == serial.report.reactions
             assert other.results == serial.results
             assert other.errors == serial.errors
             assert other.invocations == serial.invocations
-            assert other.report.batches >= 1
-            if strategy == "batch":
-                assert other.report.match_attempts <= serial.report.match_attempts
+            assert other.report.match_attempts >= serial.report.match_attempts
 
     @pytest.mark.parametrize("mode", ["threaded", "asyncio"])
     @pytest.mark.parametrize("family", _FAMILIES)
-    def test_runtime_strategies_agree(self, family, mode):
-        def run(reduction: str):
-            report = GinFlow().run(
-                build_scenario(f"{family}:size=10,seed=1"),
-                mode=mode,
-                reduction=reduction,
-                timeout=60.0,
-            )
+    def test_runtime_strategies_agree(self, family, mode, substitute_engine):
+        spec = f"{family}:size=10,seed=1"
+
+        def run():
+            report = GinFlow().run(build_scenario(spec), mode=mode, timeout=60.0)
             assert report.succeeded and not report.timed_out
             return report
 
-        serial = run("serial")
-        for strategy in ("batch", "parallel"):
-            other = run(strategy)
-            assert other.results == serial.results
-            assert other.extra.get("rule_fires") == serial.extra.get("rule_fires")
-
-    def test_audit_clean_under_parallel_reduction(self):
-        from repro.analysis import Severity, audit_all_scenarios
-
-        report = audit_all_scenarios(size=10, reduction="parallel")
-        errors = [f for f in report if f.severity is Severity.ERROR]
-        assert not errors, [f.message for f in errors]
+        serial = run()
+        substitute_engine(delta=False)
+        rebuild = run()
+        assert rebuild.extra["reduction_timings"]["patch"] == 0.0
+        assert rebuild.results == serial.results
+        assert rebuild.extra.get("rule_fires") == serial.extra.get("rule_fires")
+        workflow = build_scenario(spec)
+        reference = _centralized_outcome(workflow)
+        assert serial.results == {name: reference.results[name] for name in workflow.exit_tasks()}
 
 
 class TestReportMergeAccounting:
     """`ReductionReport.merge` must add keys absent on either side."""
 
     def test_merge_adds_absent_timing_and_rule_keys(self):
-        left = ReductionReport(reactions=1, timings={"match": 1.0}, rule_fires={"a": 1}, batches=2)
-        right = ReductionReport(
-            reactions=3,
-            timings={"match": 0.5, "rewrite": 0.25},
-            rule_fires={"b": 3},
-            batches=1,
-        )
+        left = ReductionReport(reactions=1, timings={"match": 1.0}, rule_fires={"a": 1})
+        right = ReductionReport(reactions=3, timings={"match": 0.5, "rewrite": 0.25}, rule_fires={"b": 3})
         left.merge(right)
         assert left.timings == {"match": 1.5, "rewrite": 0.25}
         assert left.rule_fires == {"a": 1, "b": 3}
         assert left.reactions == 4
-        assert left.batches == 3
         assert sum(left.rule_fires.values()) == left.reactions
 
     def test_merge_into_empty_report(self):

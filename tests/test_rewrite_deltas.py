@@ -14,14 +14,11 @@ inertness.  Three layers of evidence:
 * **property-based fuzz** — hypothesis drives random seeded solutions
   through both engine paths on hand-written delta rules (a consume-style
   getMax and a patch-style drain), asserting trace identity;
-* **end-to-end** — every scenario family of the catalog, reduced under every
-  strategy (``serial``/``batch``/``parallel``), agrees between the two
-  paths; and full runtime enactments (simulated/threaded/asyncio/
+* **end-to-end** — every scenario family of the catalog agrees between the
+  two paths, on the incremental engine and on the naive one; and full runtime enactments (simulated/threaded/asyncio/
   centralized) report the same results either way, with the simulated
   runtime's virtual-time trace bit-identical.
 """
-
-import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,11 +44,10 @@ from repro.hocl import (
     TupleTemplate,
     Var,
 )
-from repro.hocl.parallel import BUILTIN_POLICIES, reduce_sharded, resolve_policy
 from repro.hoclflow import encode_workflow
 from repro.hoclflow.generic_rules import register_workflow_externals
 from repro.hocl import default_registry
-from repro.runtime import GinFlow, backends
+from repro.runtime import GinFlow
 from repro.scenarios import available_scenarios, build_scenario
 from repro.services import ServiceRegistry
 from repro.workflow import diamond_workflow
@@ -98,9 +94,9 @@ def _trace(report):
     return [(r.rule, r.depth, r.consumed, r.produced) for r in report.history]
 
 
-def _reduce(atoms, delta, batch=False):
+def _reduce(atoms, delta):
     solution = Multiset(atoms)
-    report = ReductionEngine(delta=delta, batch=batch).reduce(solution)
+    report = ReductionEngine(delta=delta).reduce(solution)
     return report, solution
 
 
@@ -187,8 +183,8 @@ def test_getmax_delta_parity(values):
 
 
 @settings(max_examples=50, deadline=None)
-@given(integers, st.booleans())
-def test_drain_delta_parity(values, batch):
+@given(integers)
+def test_drain_delta_parity(values):
     def atoms():
         return [
             TupleTemplate(Symbol("BAG"), SolutionTemplate(*[IntAtom(v) for v in values])).expand({}, None)[0],
@@ -196,8 +192,8 @@ def test_drain_delta_parity(values, batch):
             drain_rule(),
         ]
 
-    delta_report, delta_solution = _reduce(atoms(), delta=True, batch=batch)
-    rebuild_report, rebuild_solution = _reduce(atoms(), delta=False, batch=batch)
+    delta_report, delta_solution = _reduce(atoms(), delta=True)
+    rebuild_report, rebuild_solution = _reduce(atoms(), delta=False)
     assert delta_report.inert and rebuild_report.inert
     assert delta_solution.content_hash() == rebuild_solution.content_hash()
     assert delta_report.rule_fires == rebuild_report.rule_fires
@@ -207,9 +203,9 @@ def test_drain_delta_parity(values, batch):
     assert rebuild_report.patched == 0
 
 
-# -------------------------------------------------- scenario/strategy parity
-def _reduce_workflow(workflow, mode, delta):
-    """Centralised reduction under one strategy; mirrors the bench harness."""
+# ------------------------------------------------------------ scenario parity
+def _reduce_workflow(workflow, delta, incremental=True):
+    """Centralised reduction of ``workflow``; mirrors the bench harness."""
     encoding = encode_workflow(workflow)
     solution = encoding.to_multiset()
     registry = ServiceRegistry()
@@ -226,21 +222,10 @@ def _reduce_workflow(workflow, mode, delta):
 
     externals = default_registry()
     register_workflow_externals(externals, invoke)
-    policy = resolve_policy(mode)
-    if not delta:
-        policy = dataclasses.replace(policy, delta=False)
-
-    def engine_factory():
-        return ReductionEngine(externals=externals, max_steps=1_000_000, **policy.engine_options())
-
-    if policy.parallel:
-        reducer = policy.make_reducer()
-        try:
-            report = reduce_sharded(solution, engine_factory, reducer, max_steps=1_000_000)
-        finally:
-            reducer.shutdown()
-    else:
-        report = engine_factory().reduce(solution)
+    engine = ReductionEngine(
+        externals=externals, max_steps=1_000_000, incremental=incremental, delta=delta
+    )
+    report = engine.reduce(solution)
     assert report.inert
     return report, solution
 
@@ -250,48 +235,50 @@ def _small_spec(family):
 
 
 @pytest.mark.parametrize("family", available_scenarios())
-@pytest.mark.parametrize("mode", ["serial", "batch", "parallel"])
-def test_scenario_family_delta_parity(family, mode):
-    delta_report, delta_solution = _reduce_workflow(build_scenario(_small_spec(family)), mode, delta=True)
-    rebuild_report, rebuild_solution = _reduce_workflow(build_scenario(_small_spec(family)), mode, delta=False)
+@pytest.mark.parametrize("engine", ["serial", "naive"])
+def test_scenario_family_delta_parity(family, engine):
+    """Both rewrite paths agree, on the shipped engine and on the naive one."""
+    incremental = engine == "serial"
+    spec = _small_spec(family)
+    delta_report, delta_solution = _reduce_workflow(build_scenario(spec), True, incremental)
+    rebuild_report, rebuild_solution = _reduce_workflow(build_scenario(spec), False, incremental)
     assert delta_solution.content_hash() == rebuild_solution.content_hash()
     assert delta_report.rule_fires == rebuild_report.rule_fires
     assert _trace(delta_report) == _trace(rebuild_report)
     assert delta_report.match_attempts == rebuild_report.match_attempts
-    assert delta_report.patched > 0, f"{family}/{mode}: no reaction took the delta path"
+    assert delta_report.patched > 0, f"{family}/{engine}: no reaction took the delta path"
     assert rebuild_report.patched == 0
 
 
 # ------------------------------------------------------------ runtime parity
-@pytest.fixture(scope="module")
-def rebuild_policy_name():
-    """A temporarily registered serial policy forcing the rebuild path."""
-    backends.ensure_builtin_backends()
-    name = "serial-rebuild-parity"
-    backends.register_reduction(
-        name,
-        lambda config=None: dataclasses.replace(BUILTIN_POLICIES["serial"], name=name, delta=False),
-    )
-    yield name
-    backends.registry.unregister("reduction", name)
+def _assert_rebuild_path(delta_run, rebuild_run):
+    """The substituted engines really rebuilt: no patch time, some rewrite."""
+    delta_timings = delta_run.extra["reduction_timings"]
+    rebuild_timings = rebuild_run.extra["reduction_timings"]
+    assert delta_timings["patch"] > 0.0 and delta_timings["rewrite"] == 0.0
+    assert rebuild_timings["patch"] == 0.0 and rebuild_timings["rewrite"] > 0.0
 
 
 @pytest.mark.parametrize("mode", ["simulated", "threaded", "asyncio", "centralized"])
-def test_runtime_delta_parity(mode, rebuild_policy_name):
+def test_runtime_delta_parity(mode, substitute_engine):
     workflow = diamond_workflow(4, 3)
-    delta_run = GinFlow().run(workflow, mode=mode, nodes=5, reduction="serial")
-    rebuild_run = GinFlow().run(workflow, mode=mode, nodes=5, reduction=rebuild_policy_name)
+    delta_run = GinFlow().run(workflow, mode=mode, nodes=5)
+    substitute_engine(delta=False)
+    rebuild_run = GinFlow().run(workflow, mode=mode, nodes=5)
     assert delta_run.succeeded and rebuild_run.succeeded
+    _assert_rebuild_path(delta_run, rebuild_run)
     assert delta_run.results == rebuild_run.results
     assert delta_run.reduction_reactions == rebuild_run.reduction_reactions
 
 
-def test_simulated_trace_bit_identical(rebuild_policy_name):
+def test_simulated_trace_bit_identical(substitute_engine):
     """The simulated runtime's virtual-time trace is identical either way."""
     workflow = diamond_workflow(6, 4, connectivity="full")
-    delta_run = GinFlow().run(workflow, mode="simulated", nodes=10, reduction="serial")
-    rebuild_run = GinFlow().run(workflow, mode="simulated", nodes=10, reduction=rebuild_policy_name)
+    delta_run = GinFlow().run(workflow, mode="simulated", nodes=10)
+    substitute_engine(delta=False)
+    rebuild_run = GinFlow().run(workflow, mode="simulated", nodes=10)
     assert delta_run.succeeded and rebuild_run.succeeded
+    _assert_rebuild_path(delta_run, rebuild_run)
     assert delta_run.results == rebuild_run.results
     assert delta_run.makespan == rebuild_run.makespan
     assert delta_run.execution_time == rebuild_run.execution_time
